@@ -23,28 +23,29 @@ type Config struct {
 	Latency sim.Tick // hit latency contribution of this level
 }
 
-// line is one cache line's bookkeeping.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-}
-
 // Cache is one level. It is purely functional: Access returns what
 // happened and what was evicted; the caller composes latencies.
+//
+// Per-way state lives in three parallel arrays of sets × ways entries,
+// so the hit scan and the victim scan each walk one compact array (an
+// 8-way set's tags or stamps fit in one host cache line) and Clone
+// copies 17 B per line:
+//
+//   - tags[i] is the way's tag+1 when it is valid and 0 when it is not;
+//   - lru[i] is the way's LRU stamp (larger = more recently used). An
+//     invalid way has stamp 0 and every valid way a stamp of at least 1,
+//     so a miss's victim is the way with the lowest stamp, ties broken
+//     toward the lowest way: the first invalid way if there is one, else
+//     the least recently used;
+//   - dirty[i] is the way's dirty bit (meaningful only while valid).
 type Cache struct {
 	cfg     Config
 	sets    int
-	lines   []line // sets × ways
 	lruTick uint64
 
-	// tags mirrors lines for the hit scan only: entry w holds tag+1 when
-	// lines[w] is valid and 0 otherwise, so the scan compares one compact
-	// word per way (a whole 8-way set fits in one host cache line) instead
-	// of walking the 24-byte bookkeeping structs. Invariant: tags[i] != 0
-	// exactly when lines[i].valid, and then tags[i] == lines[i].tag+1.
-	tags []uint64
+	tags  []uint64
+	lru   []uint64
+	dirty []bool
 
 	// Power-of-two set decode (the common configuration): index by mask
 	// and shift instead of modulo and divide, which dominate the access
@@ -67,7 +68,8 @@ func New(cfg Config) (*Cache, error) {
 			cfg.Name, cfg.Size, cfg.Ways, mem.LineSize)
 	}
 	sets := int(lines) / cfg.Ways
-	c := &Cache{cfg: cfg, sets: sets, lines: make([]line, lines), tags: make([]uint64, lines)}
+	c := &Cache{cfg: cfg, sets: sets,
+		tags: make([]uint64, lines), lru: make([]uint64, lines), dirty: make([]bool, lines)}
 	if sets&(sets-1) == 0 {
 		c.pow2 = true
 		c.mask = uint64(sets - 1)
@@ -119,8 +121,8 @@ func (c *Cache) Lookup(lineAddr uint64) bool {
 func (c *Cache) Access(lineAddr uint64, dirty bool) Result {
 	set, tag := c.set(lineAddr)
 	base := set * c.cfg.Ways
-	ways := c.lines[base : base+c.cfg.Ways]
-	tags := c.tags[base : base+c.cfg.Ways]
+	end := base + c.cfg.Ways
+	tags := c.tags[base:end]
 	key := tag + 1
 	c.lruTick++
 	// Hit scan first over the compact tag words — the overwhelmingly
@@ -128,44 +130,36 @@ func (c *Cache) Access(lineAddr uint64, dirty bool) Result {
 	// the miss is established.
 	for w, tv := range tags {
 		if tv == key {
-			l := &ways[w]
-			l.lru = c.lruTick
+			c.lru[base+w] = c.lruTick
 			if dirty {
-				l.dirty = true
+				c.dirty[base+w] = true
 			}
 			c.Hits++
 			return Result{Hit: true}
 		}
 	}
-	// Victim: the first invalid way, else the least recently used (ties
-	// break toward the lowest way, matching the original combined scan).
+	// Victim: the lowest stamp, ties to the lowest way (see Cache).
+	lru := c.lru[base:end]
 	vw := 0
-	if ways[0].valid {
-		for w := 1; w < len(ways); w++ {
-			l := &ways[w]
-			if !l.valid {
-				vw = w
-				break
-			}
-			if l.lru < ways[vw].lru {
-				vw = w
-			}
+	for w := 1; w < len(lru); w++ {
+		if lru[w] < lru[vw] {
+			vw = w
 		}
 	}
-	victim := &ways[vw]
 	c.Misses++
 	res := Result{}
-	if victim.valid {
+	if tv := tags[vw]; tv != 0 {
 		res.Evicted = true
-		res.VictimDirty = victim.dirty
-		res.VictimLine = victim.tag*uint64(c.sets) + uint64(set)
+		res.VictimDirty = c.dirty[base+vw]
+		res.VictimLine = (tv-1)*uint64(c.sets) + uint64(set)
 		c.Evictions++
-		if victim.dirty {
+		if res.VictimDirty {
 			c.DirtyEvictions++
 		}
 	}
-	*victim = line{tag: tag, valid: true, dirty: dirty, lru: c.lruTick}
 	tags[vw] = key
+	lru[vw] = c.lruTick
+	c.dirty[base+vw] = dirty
 	return res
 }
 
@@ -175,11 +169,9 @@ func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
 	base := set * c.cfg.Ways
 	key := tag + 1
 	for w := 0; w < c.cfg.Ways; w++ {
-		if c.tags[base+w] == key {
-			l := &c.lines[base+w]
-			present, dirty = true, l.dirty
-			l.valid = false
-			c.tags[base+w] = 0
+		if i := base + w; c.tags[i] == key {
+			present, dirty = true, c.dirty[i]
+			c.tags[i], c.lru[i], c.dirty[i] = 0, 0, false
 			return
 		}
 	}
@@ -189,15 +181,19 @@ func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
 // MarkDirty sets the dirty bit of a resident line (e.g. a writeback from
 // an upper level landing in this one). It reports whether the line was
 // resident.
+//
+// The line is stamped with the current tick without advancing it, so it
+// can share its stamp with the line the last Access touched; on a later
+// miss in that set the lower of the two ways is the victim. That tie is
+// model behaviour the kernel goldens freeze: changing it changes results.
 func (c *Cache) MarkDirty(lineAddr uint64) bool {
 	set, tag := c.set(lineAddr)
 	base := set * c.cfg.Ways
 	key := tag + 1
 	for w := 0; w < c.cfg.Ways; w++ {
-		if c.tags[base+w] == key {
-			l := &c.lines[base+w]
-			l.dirty = true
-			l.lru = c.lruTick
+		if i := base + w; c.tags[i] == key {
+			c.dirty[i] = true
+			c.lru[i] = c.lruTick
 			return true
 		}
 	}
@@ -212,20 +208,21 @@ func (c *Cache) MarkDirty(lineAddr uint64) bool {
 //tdlint:copier Cache
 func (c *Cache) Clone() *Cache {
 	d := *c
-	d.lines = append([]line(nil), c.lines...)
 	d.tags = append([]uint64(nil), c.tags...)
+	d.lru = append([]uint64(nil), c.lru...)
+	d.dirty = append([]bool(nil), c.dirty...)
 	return &d
 }
 
 // Occupancy reports the fraction of valid lines (warmup diagnostics).
 func (c *Cache) Occupancy() float64 {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, tv := range c.tags {
+		if tv != 0 {
 			n++
 		}
 	}
-	return float64(n) / float64(len(c.lines))
+	return float64(n) / float64(len(c.tags))
 }
 
 // Hierarchy is one core's private L1+L2 stack. An access flows through

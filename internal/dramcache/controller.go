@@ -464,10 +464,7 @@ func (c *Controller) Prewarm(line uint64, write bool) {
 	if c.tags == nil {
 		return
 	}
-	c.tags.access(line, write, true)
-	if !write {
-		c.tags.fillDone(line)
-	}
+	c.tags.prewarm(line, write)
 }
 
 // Enqueue accepts one demand. It reports false when backpressure (full

@@ -16,14 +16,15 @@ import (
 	"tdram/internal/mem"
 )
 
-// lineState is the metadata of one resident line.
-type lineState struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
-	inflight bool   // fill from main memory pending
-	lru      uint64 // larger = more recently used
-}
+// A line's metadata is one packed word: tag<<lineTagShift | inflight |
+// dirty | valid. Tags are line addresses divided by the set count, so
+// they fit the remaining 61 bits for any 64-bit byte address.
+const (
+	lineValid    = 1 << 0
+	lineDirty    = 1 << 1
+	lineInflight = 1 << 2 // fill from main memory pending
+	lineTagShift = 3
+)
 
 // tagStore is the functional content state of the DRAM cache: a
 // set-associative (ways=1 gives the paper's default direct-mapped)
@@ -33,8 +34,16 @@ type lineState struct {
 type tagStore struct {
 	sets    uint64
 	ways    int
-	lines   []lineState
+	lines   []uint64 // sets × ways packed line words
 	lruTick uint64
+
+	// lru holds each way's LRU stamp (larger = more recently used), and
+	// is nil for a direct-mapped store, whose victim is always its one
+	// way. An invalid way has stamp 0 and every valid way a stamp of at
+	// least 1, so the victim is the way with the lowest stamp, ties to
+	// the lowest way: the first invalid way if there is one, else the
+	// least recently used.
+	lru []uint64
 
 	// Power-of-two set decode: replace the modulo/divide pair — which
 	// dominates the tag-check cost for the default direct-mapped store —
@@ -61,7 +70,10 @@ func newTagStore(capacityBytes uint64, ways int) (*tagStore, error) {
 	if lines == 0 || lines%uint64(ways) != 0 {
 		return nil, fmt.Errorf("dramcache: capacity %d not divisible into %d ways", capacityBytes, ways)
 	}
-	t := &tagStore{sets: lines / uint64(ways), ways: ways, lines: make([]lineState, lines)}
+	t := &tagStore{sets: lines / uint64(ways), ways: ways, lines: make([]uint64, lines)}
+	if ways > 1 {
+		t.lru = make([]uint64, lines)
+	}
 	if t.sets&(t.sets-1) == 0 {
 		t.pow2 = true
 		t.mask = t.sets - 1
@@ -87,6 +99,47 @@ func (t *tagStore) setIndex(line uint64) uint64 {
 
 // lineOf reconstructs a line address from set and tag.
 func (t *tagStore) lineOf(set, tag uint64) uint64 { return tag*t.sets + set }
+
+// locate decodes line into its set, the index of the set's first way, and
+// the packed word a valid copy of the line matches once its dirty and
+// inflight bits are masked off.
+func (t *tagStore) locate(line uint64) (set, base, key uint64) {
+	set, tag := t.set(line)
+	return set, set * uint64(t.ways), tag<<lineTagShift | lineValid
+}
+
+// find returns the index of the way holding key in the set at base; ok
+// is false when the line is not resident.
+func (t *tagStore) find(base, key uint64) (uint64, bool) {
+	for i := base; i < base+uint64(t.ways); i++ {
+		if t.lines[i]&^(lineDirty|lineInflight) == key {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// victim returns the index of the way a miss in the set at base displaces.
+func (t *tagStore) victim(base uint64) uint64 {
+	if t.lru == nil {
+		return base
+	}
+	lru := t.lru[base : base+uint64(t.ways)]
+	vw := 0
+	for w := 1; w < len(lru); w++ {
+		if lru[w] < lru[vw] {
+			vw = w
+		}
+	}
+	return base + uint64(vw)
+}
+
+// touch stamps way i as the most recently used.
+func (t *tagStore) touch(i uint64) {
+	if t.lru != nil {
+		t.lru[i] = t.lruTick
+	}
+}
 
 // probe is a read-only lookup.
 type probeResult struct {
@@ -128,12 +181,14 @@ func (t *tagStore) retire(line uint64) (dirty []uint64) {
 	}
 	t.retired[set] = true
 	base := set * uint64(t.ways)
-	for w := 0; w < t.ways; w++ {
-		l := &t.lines[base+uint64(w)]
-		if l.valid && l.dirty {
-			dirty = append(dirty, t.lineOf(set, l.tag))
+	for i := base; i < base+uint64(t.ways); i++ {
+		if l := t.lines[i]; l&(lineValid|lineDirty) == lineValid|lineDirty {
+			dirty = append(dirty, t.lineOf(set, l>>lineTagShift))
 		}
-		*l = lineState{}
+		t.lines[i] = 0
+		if t.lru != nil {
+			t.lru[i] = 0
+		}
 	}
 	return dirty
 }
@@ -142,24 +197,15 @@ func (t *tagStore) probe(line uint64) probeResult {
 	if t.isRetired(line) {
 		return probeResult{}
 	}
-	set, tag := t.set(line)
-	base := set * uint64(t.ways)
-	var victim *lineState
-	for w := 0; w < t.ways; w++ {
-		l := &t.lines[base+uint64(w)]
-		if l.valid && l.tag == tag {
-			return probeResult{Hit: true, Dirty: l.dirty, Inflight: l.inflight}
-		}
-		if victim == nil || !l.valid || (victim.valid && l.lru < victim.lru) {
-			if victim == nil || victim.valid {
-				victim = l
-			}
-		}
+	set, base, key := t.locate(line)
+	if i, ok := t.find(base, key); ok {
+		l := t.lines[i]
+		return probeResult{Hit: true, Dirty: l&lineDirty != 0, Inflight: l&lineInflight != 0}
 	}
 	r := probeResult{}
-	if victim.valid {
-		r.Dirty = victim.dirty
-		r.Victim = t.lineOf(set, victim.tag)
+	if l := t.lines[t.victim(base)]; l&lineValid != 0 {
+		r.Dirty = l&lineDirty != 0
+		r.Victim = t.lineOf(set, l>>lineTagShift)
 	}
 	return r
 }
@@ -170,98 +216,108 @@ func (t *tagStore) probe(line uint64) probeResult {
 // displaced, its line address and dirty bit.
 //
 // write=true marks the line dirty (demand writes carry the full 64 B).
-// fillPending marks a read miss's new line inflight until the fill
-// arrives; writes install complete lines and are never inflight.
+// A read miss's new line is inflight until its fill arrives (fillDone);
+// writes install complete lines and are never inflight.
 // install=false (BEAR's bypassed fills) evaluates the outcome without
 // modifying state.
 func (t *tagStore) access(line uint64, write, install bool) (out mem.Outcome, victim uint64, victimDirty bool) {
-	if t.isRetired(line) {
-		// Retired sets never hit and never install: the access behaves as
-		// a miss-clean the controller resolves against the backing store.
-		kind := mem.Read
-		if write {
-			kind = mem.Write
-		}
-		return mem.ClassifyOutcome(kind, false, false), 0, false
-	}
-	set, tag := t.set(line)
-	base := set * uint64(t.ways)
-	t.lruTick++
-	var slot *lineState
-	for w := 0; w < t.ways; w++ {
-		l := &t.lines[base+uint64(w)]
-		if l.valid && l.tag == tag {
-			// Hit.
-			l.lru = t.lruTick
-			if write {
-				l.dirty = true
-			}
-			if write {
-				return mem.WriteHit, 0, false
-			}
-			return mem.ReadHit, 0, false
-		}
-		if slot == nil || !l.valid || (slot.valid && l.lru < slot.lru) {
-			if slot == nil || slot.valid {
-				slot = l
-			}
-		}
-	}
-	// Miss: classify against the LRU victim, then install.
 	kind := mem.Read
 	if write {
 		kind = mem.Write
 	}
-	if slot.valid {
-		victim = t.lineOf(set, slot.tag)
-		victimDirty = slot.dirty
+	if t.isRetired(line) {
+		// Retired sets never hit and never install: the access behaves as
+		// a miss-clean the controller resolves against the backing store.
+		return mem.ClassifyOutcome(kind, false, false), 0, false
 	}
-	out = mem.ClassifyOutcome(kind, false, slot.valid && slot.dirty)
+	set, base, key := t.locate(line)
+	t.lruTick++
+	if i, ok := t.find(base, key); ok {
+		t.touch(i)
+		if write {
+			t.lines[i] |= lineDirty
+			return mem.WriteHit, 0, false
+		}
+		return mem.ReadHit, 0, false
+	}
+	// Miss: classify against the LRU victim, then install.
+	i := t.victim(base)
+	if l := t.lines[i]; l&lineValid != 0 {
+		victim = t.lineOf(set, l>>lineTagShift)
+		victimDirty = l&lineDirty != 0
+	}
+	out = mem.ClassifyOutcome(kind, false, victimDirty)
 	if !install {
 		return out, victim, victimDirty
 	}
-	*slot = lineState{tag: tag, valid: true, dirty: write, inflight: !write, lru: t.lruTick}
+	if write {
+		t.lines[i] = key | lineDirty
+	} else {
+		t.lines[i] = key | lineInflight
+	}
+	t.touch(i)
 	return out, victim, victimDirty
+}
+
+// prewarm applies one functional prewarm access: the access transition
+// with the fill assumed done at once and any victim dropped. It equals
+// access(line, write, true) followed, for a read, by fillDone(line), in
+// one set scan.
+func (t *tagStore) prewarm(line uint64, write bool) {
+	if t.isRetired(line) {
+		return
+	}
+	_, base, key := t.locate(line)
+	t.lruTick++
+	if i, ok := t.find(base, key); ok {
+		t.touch(i)
+		if write {
+			t.lines[i] |= lineDirty
+		} else {
+			t.lines[i] &^= lineInflight
+		}
+		return
+	}
+	i := t.victim(base)
+	if write {
+		key |= lineDirty
+	}
+	t.lines[i] = key
+	t.touch(i)
 }
 
 // fillDone clears the inflight bit of a previously installed read miss.
 // It reports false when the line was displaced before its fill arrived
 // (possible under heavy conflict traffic; the fill is then dropped).
 func (t *tagStore) fillDone(line uint64) bool {
-	set, tag := t.set(line)
-	base := set * uint64(t.ways)
-	for w := 0; w < t.ways; w++ {
-		l := &t.lines[base+uint64(w)]
-		if l.valid && l.tag == tag {
-			l.inflight = false
-			return true
-		}
+	_, base, key := t.locate(line)
+	i, ok := t.find(base, key)
+	if !ok {
+		return false
 	}
-	return false
+	t.lines[i] &^= lineInflight
+	return true
 }
 
 // markDirty sets the dirty bit of a resident line (used when a waiting
 // write drains from the conflict buffer after its line's fill).
 func (t *tagStore) markDirty(line uint64) bool {
-	set, tag := t.set(line)
-	base := set * uint64(t.ways)
-	for w := 0; w < t.ways; w++ {
-		l := &t.lines[base+uint64(w)]
-		if l.valid && l.tag == tag {
-			l.dirty = true
-			return true
-		}
+	_, base, key := t.locate(line)
+	i, ok := t.find(base, key)
+	if !ok {
+		return false
 	}
-	return false
+	t.lines[i] |= lineDirty
+	return true
 }
 
 // occupancy reports valid and dirty line fractions (diagnostics).
 func (t *tagStore) occupancy() (valid, dirty float64) {
 	var v, d int
-	for i := range t.lines {
-		if t.lines[i].valid {
+	for _, l := range t.lines {
+		if l&lineValid != 0 {
 			v++
-			if t.lines[i].dirty {
+			if l&lineDirty != 0 {
 				d++
 			}
 		}

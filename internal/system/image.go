@@ -46,8 +46,9 @@ type WarmupImage struct {
 	tags    *dramcache.TagImage // nil when the config has no tag store
 }
 
-// normalized mirrors New's defaulting of the sizing knobs so an image
-// built from one design's config matches another design's.
+// normalized applies New's defaulting of the sizing knobs; images record
+// and compare the normalized values so an image built from one design's
+// config matches another design's.
 func (cfg *Config) normalized() (capacity, l1, l2 uint64) {
 	capacity = cfg.Cache.CapacityBytes
 	if capacity == 0 {
@@ -171,10 +172,10 @@ func (img *WarmupImage) CompatibleWith(cfg Config) error {
 }
 
 // NewWithImage builds the machine like New and seeds it from the image
-// instead of leaving prewarm to Run: streams and SRAM hierarchies are
-// deep-copied per core, the DRAM-cache content is installed into the
-// controller (geometry mismatches surface as ErrIncompatibleImage), and
-// Run's prewarm pass is skipped.
+// instead of leaving prewarm to Run: each core's stream and SRAM
+// hierarchy is built as a copy of the image's, the DRAM-cache content is
+// installed into the controller (geometry mismatches surface as
+// ErrIncompatibleImage), and Run's prewarm pass is skipped.
 func NewWithImage(cfg Config, img *WarmupImage) (*System, error) {
 	if img == nil {
 		return New(cfg)
@@ -182,22 +183,10 @@ func NewWithImage(cfg Config, img *WarmupImage) (*System, error) {
 	if err := img.CompatibleWith(cfg); err != nil {
 		return nil, err
 	}
-	sys, err := New(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if img.tags != nil {
-		if err := sys.ctl.InstallTags(img.tags); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrIncompatibleImage, err)
-		}
-	}
-	for i, c := range sys.cores {
-		c.stream = img.streams[i].Clone()
-		c.hier = img.hiers[i].Clone()
-		c.hier.WriteBack = c.emitWriteback
-	}
-	sys.prewarmed = true
-	return sys, nil
+	return build(cfg, img)
 }
 
 // RunWithImage builds from the image and runs in one call.

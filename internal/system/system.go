@@ -156,6 +156,15 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return build(cfg, nil)
+}
+
+// build wires a validated config. With a nil image every core starts
+// from a fresh stream and empty SRAM stack, and Run prewarms; with an
+// image (already checked compatible) each core starts from a copy of the
+// image's post-prewarm stream and stack, the controller from a copy of
+// its cache content, and Run skips the prewarm pass.
+func build(cfg Config, img *WarmupImage) (*System, error) {
 	s := sim.New()
 	mm, err := backing.New(s, dram.DDR5Params())
 	if err != nil {
@@ -186,26 +195,23 @@ func New(cfg Config) (*System, error) {
 		}
 		sys.wd = wd
 	}
+	if img != nil && img.tags != nil {
+		if err := ctl.InstallTags(img.tags); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrIncompatibleImage, err)
+		}
+	}
+	sys.prewarmed = img != nil
 	// Workload footprints scale against the nominal cache capacity even
 	// in the no-cache configuration, so runtimes are comparable.
-	capacity := cfg.Cache.CapacityBytes
-	if capacity == 0 {
-		capacity = 64 << 20
-	}
-	l1, l2 := cfg.L1Bytes, cfg.L2Bytes
-	if l1 == 0 {
-		l1 = 4 << 10
-	}
-	if l2 == 0 {
-		l2 = 64 << 10
-	}
+	capacity, l1, l2 := cfg.normalized()
 	for i := 0; i < cfg.Cores; i++ {
-		c := &core{
-			sys:    sys,
-			id:     i,
-			stream: cfg.Workload.NewStream(i, cfg.Cores, capacity, cfg.Seed),
-			hier:   cache.NewSizedHierarchy(l1, l2),
-			think:  sim.NS(cfg.Workload.ThinkNS),
+		c := &core{sys: sys, id: i, think: sim.NS(cfg.Workload.ThinkNS)}
+		if img != nil {
+			c.stream = img.streams[i].Clone()
+			c.hier = img.hiers[i].Clone()
+		} else {
+			c.stream = cfg.Workload.NewStream(i, cfg.Cores, capacity, cfg.Seed)
+			c.hier = cache.NewSizedHierarchy(l1, l2)
 		}
 		c.hier.WriteBack = c.emitWriteback
 		c.onMiss = c.missDone
