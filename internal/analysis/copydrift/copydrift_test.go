@@ -41,12 +41,13 @@ func TestDirectiveHygiene(t *testing.T) {
 // TestSeededMutation proves the analyzer catches real drift: it copies
 // the real internal/sim sources (directives included) into a fixture,
 // checks they are clean, then deletes the one line of copyWheel that
-// copies the consume head and asserts the omission is reported.
+// copies the event slab's freelist head and asserts the omission is
+// reported.
 func TestSeededMutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and type-checks a real package")
 	}
-	const victim = "dst.head = src.head"
+	const victim = "dst.free = src.free"
 
 	// The fixture root lives next to testdata/src so the go command
 	// still resolves standard-library export data from inside the
@@ -97,7 +98,7 @@ func TestSeededMutation(t *testing.T) {
 	}
 
 	findings := analysistest.Findings(t, root, copydrift.Analyzer, "sim")
-	if !hasFinding(findings, "field wheel.head is not copied by designated copier copyWheel") {
+	if !hasFinding(findings, "field wheel.free is not copied by designated copier copyWheel") {
 		t.Errorf("deleting %q went undetected; findings:\n%s", victim, render(findings))
 	}
 }

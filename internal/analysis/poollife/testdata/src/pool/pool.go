@@ -144,3 +144,46 @@ func (o *owner) allowedEscape(r *rec) {
 	//tdlint:allow poollife — the scheduled event is the only live reference and releases on fire
 	o.s.ScheduleArgAt(1, nil, r)
 }
+
+// ---- the dramcache transaction pool's shape: a holder count and a
+// generation, recycled by the last holder's releaseTxn ----
+
+type txn struct {
+	line uint64
+	gen  uint32
+	refs uint8
+	next *txn
+}
+
+type ctl struct {
+	txnFree *txn
+	s       sched
+}
+
+func (c *ctl) releaseTxn(t *txn) {
+	if t.refs--; t.refs > 0 {
+		return
+	}
+	t.gen++
+	t.next = c.txnFree
+	c.txnFree = t
+}
+
+// Seeded mutation: an event handler that drops its hold before its last
+// read of the record.
+func (c *ctl) missDataEvMutated(t *txn) uint64 {
+	c.releaseTxn(t)
+	return t.line // want `pooled record t is used after being released`
+}
+
+// The correct order: read what the handler needs, then release.
+func (c *ctl) missDataEv(t *txn) uint64 {
+	line := t.line
+	c.releaseTxn(t)
+	return line
+}
+
+// Generation-tagged: handing a transaction to the kernel is no escape.
+func (c *ctl) completeReadAt(t *txn) {
+	c.s.ScheduleArgAt(1, nil, t)
+}

@@ -6,6 +6,7 @@ import (
 	"tdram/internal/dram"
 	"tdram/internal/mem"
 	"tdram/internal/obs"
+	"tdram/internal/pooldebug"
 	"tdram/internal/sim"
 )
 
@@ -34,14 +35,21 @@ const (
 // typed-argument callback's argument — the hot completion paths schedule
 // (package function, *txn) pairs instead of capturing closures, which
 // keeps the per-event allocation count at zero.
+//
+// Records recycle through the controller's freelist (newTxn /
+// releaseTxn). refs counts the record's holders — a queue slot, each
+// pending event or backing fetch that will read it, and an Ideal write
+// depending on it — and the holder that drops the last reference
+// recycles it; see DESIGN.md, "Record ownership".
+//
 // Pointer- and word-sized fields lead and the flag bytes trail so the
-// struct packs without interior padding (88 bytes rather than the 112
-// the declaration-order layout costs); internal/analysis's fieldalign
+// struct packs without interior padding; internal/analysis's fieldalign
 // test pins this.
 type txn struct {
 	cc     *chanCtl
-	req    *mem.Request // nil for fills
+	req    *mem.Request // nil for fills; owned by the txn until released
 	dep    *txn         // issue only after dep.done (Ideal write-miss-dirty)
+	next   *txn         // freelist link while released
 	line   uint64
 	victim uint64
 	bank   int
@@ -51,6 +59,8 @@ type txn struct {
 	// predDataAt is predictor bookkeeping (§V-D): a predicted-miss read
 	// starts its main-memory fetch in parallel with the tag check.
 	predDataAt sim.Tick
+
+	gen uint32 // bumped on every release
 
 	kind    txnKind
 	outcome mem.Outcome
@@ -77,6 +87,79 @@ type txn struct {
 
 	// retries counts ECC-triggered re-issues of this transaction.
 	retries uint8
+
+	refs uint8 // outstanding holders; the last to let go recycles the record
+}
+
+// newTxn draws a transaction for cc from the controller's freelist,
+// initialized from proto, with no holders yet: the caller hands it to
+// its first holder (a queue, an event, a backing fetch) with hold.
+func (cc *chanCtl) newTxn(proto txn) *txn {
+	c := cc.ctl
+	t := c.txnFree
+	if t == nil {
+		t = new(txn)
+	} else {
+		c.txnFree = t.next
+	}
+	proto.cc, proto.gen = cc, t.gen
+	*t = proto
+	return t
+}
+
+// hold counts one more holder of t and returns it, marking a hand-off:
+// a queue append, a scheduled event, a backing fetch, a dependency.
+func (t *txn) hold() *txn {
+	t.refs++
+	return t
+}
+
+// releaseTxn drops one holder of t. The last holder recycles the record,
+// first releasing the request it still owns (a posted write's; a read's
+// request is released at its response) and its dependency. Under the
+// pooldebug build tag the record is poisoned so a stale use misroutes or
+// panics instead of reading the next tenant.
+func (c *Controller) releaseTxn(t *txn) {
+	if t.refs == 0 {
+		panic("dramcache: transaction released with no holders")
+	}
+	if t.refs--; t.refs > 0 {
+		return
+	}
+	if r := t.req; r != nil {
+		r.Release()
+	}
+	if d := t.dep; d != nil {
+		c.releaseTxn(d)
+	}
+	t.gen++
+	t.req, t.dep = nil, nil
+	if pooldebug.On {
+		t.cc, t.line, t.victim = nil, ^uint64(0), ^uint64(0)
+	}
+	t.next = c.txnFree
+	c.txnFree = t
+}
+
+// respond answers t's read demand with its data and releases the
+// request — its last use; the transaction forgets it.
+func (c *Controller) respond(t *txn) {
+	r := t.req
+	t.req = nil
+	r.Complete()
+	r.Release()
+}
+
+// dropFront removes s's first n elements, compacting the rest to the
+// front in place: re-slicing forward would leak the slice's capacity and
+// make later appends reallocate.
+func dropFront[T any](s []T, n int) []T {
+	if n == 0 {
+		return s
+	}
+	rest := copy(s, s[n:])
+	clear(s[rest:])
+	return s[:rest]
 }
 
 // flushEntry is one victim line parked in the on-die flush buffer,
@@ -130,7 +213,7 @@ func (cc *chanCtl) acceptRead(req *mem.Request, bank int) bool {
 	if len(cc.readQ) >= ReadQueueDepth {
 		return false
 	}
-	t := &txn{cc: cc, kind: txnRead, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now()}
+	t := cc.newTxn(txn{kind: txnRead, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now()})
 	if cc.ctl.predictor != nil {
 		if !cc.ctl.predictor.Predict(req.Core, line) && cc.ctl.mm.ReadQueueFree(line) {
 			// Predicted miss: start the backing fetch in parallel.
@@ -141,13 +224,13 @@ func (cc *chanCtl) acceptRead(req *mem.Request, bank int) bool {
 			cc.ctl.mmMeter.Acts++
 			cc.ctl.mmMeter.Cols++
 			cc.ctl.mmMeter.Bytes += 64
-			cc.ctl.mm.ReadArg(line, predictorDataEv, t)
+			cc.ctl.mm.ReadArg(line, predictorDataEv, t.hold())
 			if j := req.J; j != nil {
 				j.Enter(mem.PhaseMissFetch, cc.now())
 			}
 		}
 	}
-	cc.readQ = append(cc.readQ, t)
+	cc.readQ = append(cc.readQ, t.hold())
 	cc.pass()
 	return true
 }
@@ -167,28 +250,31 @@ func (cc *chanCtl) acceptReadIdeal(req *mem.Request, line uint64, bank int) bool
 	}
 	switch outcome {
 	case mem.ReadHit:
-		cc.readQ = append(cc.readQ, &txn{
-			cc: cc, kind: txnRead, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
+		cc.readQ = append(cc.readQ, cc.newTxn(txn{
+			kind: txnRead, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
 			outcomeKnown: true, outcome: outcome,
-		})
+		}).hold())
 		cc.pass()
 	case mem.ReadMissClean:
 		cc.ctl.markInflight(line)
-		cc.ctl.missFetch(&txn{cc: cc, req: req, line: line, fill: true})
+		cc.ctl.missFetch(cc.newTxn(txn{req: req, line: line, fill: true}))
 	case mem.ReadMissDirty:
 		cc.ctl.markInflight(line)
-		cc.ctl.missFetch(&txn{cc: cc, req: req, line: line, fill: true})
+		cc.ctl.missFetch(cc.newTxn(txn{req: req, line: line, fill: true}))
 		vb := cc.bankOf(victim)
-		cc.readQ = append(cc.readQ, &txn{
-			cc: cc, kind: txnVictimRead, line: victim, bank: vb, row: cc.rowOf(victim), arrive: cc.now(),
-		})
+		cc.readQ = append(cc.readQ, cc.newTxn(txn{
+			kind: txnVictimRead, line: victim, bank: vb, row: cc.rowOf(victim), arrive: cc.now(),
+		}).hold())
 		cc.pass()
 	}
 	return true
 }
 
-// acceptWrite admits a (posted) demand write.
-func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
+// acceptWrite admits a (posted) demand write. It returns the
+// transaction that owns req — with an extra hold for the caller, so a
+// write that issues inside the admitting pass cannot recycle req before
+// Enqueue has completed it — or nil when backpressure rejects the write.
+func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) *txn {
 	line := req.Line()
 	switch cc.cfg().Design {
 	case CascadeLake, Alloy:
@@ -198,7 +284,7 @@ func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 		pr := cc.ctl.tags.probe(line)
 		if pr.Hit {
 			if len(cc.writeQ) >= WriteQueueDepth {
-				return false
+				return nil
 			}
 			// The DCP bit answers the write-hit without any tag read, so
 			// no tag-check latency sample exists for this demand.
@@ -206,70 +292,74 @@ func (cc *chanCtl) acceptWrite(req *mem.Request, bank int) bool {
 			cc.st().Outcomes.Add(outcome)
 			cc.observeOutcome(outcome, cc.now())
 			cc.ctl.bearObserve(line, outcome)
-			cc.writeQ = append(cc.writeQ, &txn{
-				cc: cc, kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
+			w := cc.newTxn(txn{
+				kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
 				outcomeKnown: true, outcome: outcome,
-			})
+			}).hold()
+			cc.writeQ = append(cc.writeQ, w.hold())
 			cc.pass()
-			return true
+			return w
 		}
 		return cc.acceptWriteTagRead(req, line, bank)
 	case NDC, TDRAM:
 		if len(cc.writeQ) >= WriteQueueDepth {
-			return false
+			return nil
 		}
-		cc.writeQ = append(cc.writeQ, &txn{
-			cc: cc, kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
-		})
+		w := cc.newTxn(txn{
+			kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
+		}).hold()
+		cc.writeQ = append(cc.writeQ, w.hold())
 		cc.pass()
-		return true
+		return w
 	case Ideal:
 		if len(cc.writeQ) >= WriteQueueDepth {
-			return false
+			return nil
 		}
 		outcome, victim, _ := cc.ctl.tags.access(line, true, true)
 		cc.st().Outcomes.Add(outcome)
 		cc.observeOutcome(outcome, cc.now())
-		w := &txn{
-			cc: cc, kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
+		if outcome == mem.WriteMissDirty && len(cc.readQ) >= ReadQueueDepth {
+			return nil
+		}
+		w := cc.newTxn(txn{
+			kind: txnWrite, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
 			outcomeKnown: true, outcome: outcome,
-		}
+		}).hold()
 		if outcome == mem.WriteMissDirty {
-			if len(cc.readQ) >= ReadQueueDepth {
-				return false
-			}
-			v := &txn{cc: cc, kind: txnVictimRead, line: victim, bank: cc.bankOf(victim), row: cc.rowOf(victim), arrive: cc.now()}
-			w.dep = v
-			cc.readQ = append(cc.readQ, v)
+			v := cc.newTxn(txn{kind: txnVictimRead, line: victim, bank: cc.bankOf(victim), row: cc.rowOf(victim), arrive: cc.now()})
+			w.dep = v.hold()
+			cc.readQ = append(cc.readQ, v.hold())
 		}
-		cc.writeQ = append(cc.writeQ, w)
+		cc.writeQ = append(cc.writeQ, w.hold())
 		cc.pass()
-		return true
+		return w
 	}
 	panic("dramcache: unhandled design in acceptWrite")
 }
 
-// acceptWriteTagRead queues the CL-family tag-check read for a write.
-func (cc *chanCtl) acceptWriteTagRead(req *mem.Request, line uint64, bank int) bool {
+// acceptWriteTagRead queues the CL-family tag-check read for a write,
+// returning it held for the caller like acceptWrite.
+func (cc *chanCtl) acceptWriteTagRead(req *mem.Request, line uint64, bank int) *txn {
 	if len(cc.readQ) >= ReadQueueDepth {
-		return false
+		return nil
 	}
 	cc.st().WriteTagReads++
-	cc.readQ = append(cc.readQ, &txn{
-		cc: cc, kind: txnWriteTagRead, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
-	})
+	t := cc.newTxn(txn{
+		kind: txnWriteTagRead, req: req, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now(),
+	}).hold()
+	cc.readQ = append(cc.readQ, t.hold())
 	cc.pass()
-	return true
+	return t
 }
 
 // enqueueFill queues the write that installs fetched miss data.
 func (cc *chanCtl) enqueueFill(line uint64, bank int) {
-	t := &txn{cc: cc, kind: txnFill, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now()}
+	t := cc.newTxn(txn{kind: txnFill, line: line, bank: bank, row: cc.rowOf(line), arrive: cc.now()})
 	if len(cc.writeQ) >= WriteQueueDepth {
-		cc.overflow = append(cc.overflow, t)
+		cc.overflow = append(cc.overflow, t.hold())
 		return
 	}
-	cc.writeQ = append(cc.writeQ, t)
+	cc.writeQ = append(cc.writeQ, t.hold())
 	cc.pass()
 }
 
@@ -329,10 +419,12 @@ func (cc *chanCtl) issuable(t *txn) bool {
 func (cc *chanCtl) pass() {
 	now := cc.now()
 	// Move overflowed fills into freed write-queue slots.
-	for len(cc.overflow) > 0 && len(cc.writeQ) < WriteQueueDepth {
-		cc.writeQ = append(cc.writeQ, cc.overflow[0])
-		cc.overflow = cc.overflow[1:]
+	moved := 0
+	for moved < len(cc.overflow) && len(cc.writeQ) < WriteQueueDepth {
+		cc.writeQ = append(cc.writeQ, cc.overflow[moved])
+		moved++
 	}
+	cc.overflow = dropFront(cc.overflow, moved)
 	issued := false
 	// future is the earliest future issue time seen by the final
 	// (non-issuing) scan round below; earlier rounds' values are stale the
@@ -363,6 +455,7 @@ func (cc *chanCtl) pass() {
 		if t != nil {
 			cc.remove(primary, t)
 			cc.issue(t, now)
+			cc.ctl.releaseTxn(t) // the queue's hold
 			issued = true
 			continue
 		}
@@ -370,6 +463,7 @@ func (cc *chanCtl) pass() {
 		if t != nil {
 			cc.remove(secondary, t)
 			cc.issue(t, now)
+			cc.ctl.releaseTxn(t) // the queue's hold
 			issued = true
 			continue
 		}
@@ -537,13 +631,14 @@ func (cc *chanCtl) faultRetry(t *txn, iss dram.Issue) bool {
 		}
 	}
 	cc.ctl.retryingTxns++
-	cc.ctl.sim.ScheduleArgAt(at+backoff, faultRequeueEv, t)
+	cc.ctl.sim.ScheduleArgAt(at+backoff, faultRequeueEv, t.hold())
 	return true
 }
 
-// faultRequeueEv re-queues a transaction after its fault-retry backoff.
-// ActWr data writes (txnWrite) return to the write queue; every other
-// retried kind is a read-side access.
+// faultRequeueEv re-queues a transaction after its fault-retry backoff
+// (the event's hold passes to the queue). ActWr data writes (txnWrite)
+// return to the write queue; every other retried kind is a read-side
+// access.
 func faultRequeueEv(a any, when sim.Tick) {
 	t := a.(*txn)
 	cc := t.cc

@@ -70,13 +70,15 @@ func (cc *chanCtl) recordTag(t *txn, at sim.Tick) {
 	if t.kind != txnRead {
 		return
 	}
-	cc.ctl.sim.ScheduleArgAt(at, recordTagEv, t)
+	cc.ctl.sim.ScheduleArgAt(at, recordTagEv, t.hold())
 }
 
 // recordTagEv samples a tag-check latency at its arrival time.
 func recordTagEv(a any, when sim.Tick) {
 	t := a.(*txn)
-	t.cc.ctl.sampleTagCheck(when - t.arrive)
+	c := t.cc.ctl
+	c.sampleTagCheck(when - t.arrive)
+	c.releaseTxn(t)
 }
 
 // meterColRead accounts one column read moving bytes to the controller.
@@ -123,7 +125,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 			cc.meterColRead()
 			tr.VictimBytes += 64
 			tr.OverheadBytes += cfg.ReadBytes - 64
-			cc.ctl.sim.ScheduleArgAt(iss.DataEnd, probedVictimEv, t)
+			cc.ctl.sim.ScheduleArgAt(iss.DataEnd, probedVictimEv, t.hold())
 		default:
 			panic("dramcache: unexpected pre-known read outcome " + t.outcome.String())
 		}
@@ -190,7 +192,7 @@ func (cc *chanCtl) issueRead(t *txn, iss dram.Issue) {
 		tr.VictimBytes += 64
 		tr.OverheadBytes += cfg.ReadBytes - 64
 		cc.ctl.markInflight(t.line)
-		cc.ctl.sim.ScheduleArgAt(iss.DataEnd, writebackVictimEv, t)
+		cc.ctl.sim.ScheduleArgAt(iss.DataEnd, writebackVictimEv, t.hold())
 		cc.resolveMissRead(t, tagAt, true)
 	}
 }
@@ -223,11 +225,11 @@ func (cc *chanCtl) resolveMissRead(t *txn, tagAt sim.Tick, fill bool) {
 	if t.predStarted {
 		// §V-D: the predictor already launched the fetch; the demand
 		// finishes when both the tag result and the data are in.
-		cc.ctl.sim.ScheduleArgAt(tagAt, tagMissResultEv, t)
+		cc.ctl.sim.ScheduleArgAt(tagAt, tagMissResultEv, t.hold())
 		return
 	}
 	t.fill = fill
-	cc.ctl.sim.ScheduleArgAt(tagAt, missFetchEv, t)
+	cc.ctl.sim.ScheduleArgAt(tagAt, missFetchEv, t.hold())
 }
 
 // probedVictimEv finishes a probed miss-dirty's victim readout: the
@@ -241,35 +243,44 @@ func probedVictimEv(a any, _ sim.Tick) {
 	if t.mmArrived {
 		cc.ctl.dispatchFill(t.line)
 	}
+	cc.ctl.releaseTxn(t)
 }
 
 // writebackVictimEv queues a read-miss-dirty's victim once its data
 // finished streaming to the controller.
 func writebackVictimEv(a any, _ sim.Tick) {
 	t := a.(*txn)
-	t.cc.ctl.writeback(t.victim)
+	c := t.cc.ctl
+	c.writeback(t.victim)
+	c.releaseTxn(t)
 }
 
 // tagMissResultEv delivers a predicted-miss read's tag result (§V-D).
 func tagMissResultEv(a any, _ sim.Tick) {
 	t := a.(*txn)
+	cc := t.cc
 	t.tagSaidMiss = true
 	if t.predDataAt != 0 {
-		t.cc.finishPredictedMiss(t)
+		cc.finishPredictedMiss(t)
 	}
+	cc.ctl.releaseTxn(t)
 }
 
 // missFetchEv starts a read miss's backing fetch once the tag result is
 // at the controller.
 func missFetchEv(a any, _ sim.Tick) {
 	t := a.(*txn)
-	t.cc.ctl.missFetch(t)
+	c := t.cc.ctl
+	c.missFetch(t)
+	c.releaseTxn(t)
 }
 
 // predictorDataEv records the arrival of a predicted-miss prefetch.
 func predictorDataEv(a any, _ sim.Tick) {
 	t := a.(*txn)
-	t.cc.predictorData(t)
+	cc := t.cc
+	cc.predictorData(t)
+	cc.ctl.releaseTxn(t)
 }
 
 // predictorData records the arrival of a predicted-miss prefetch.
@@ -295,7 +306,7 @@ func (cc *chanCtl) finishPredictedMiss(t *txn) {
 
 // completeReadAt finishes t's demand read at the given time.
 func (cc *chanCtl) completeReadAt(t *txn, at sim.Tick) {
-	cc.ctl.sim.ScheduleArgAt(at, completeReadEv, t)
+	cc.ctl.sim.ScheduleArgAt(at, completeReadEv, t.hold())
 }
 
 // completeReadEv responds to a demand read at its data-arrival time.
@@ -304,8 +315,9 @@ func completeReadEv(a any, when sim.Tick) {
 	c := t.cc.ctl
 	c.sampleReadLatency(when - t.req.Arrive)
 	c.finishJourney(t.req, when)
-	t.req.Complete()
+	c.respond(t)
 	c.retryUpstream()
+	c.releaseTxn(t)
 }
 
 // issueWriteTagRead handles the CL-family tag-check read for a write.
@@ -338,11 +350,13 @@ func (cc *chanCtl) issueWriteTagRead(t *txn, iss dram.Issue) {
 	}
 	tr.OverheadBytes += cfg.ReadBytes - 64
 	cc.recordTag(t, iss.DataEnd)
-	w := &txn{
-		cc: cc, kind: txnWrite, req: t.req, line: t.line, bank: t.bank, row: t.row, arrive: cc.now(),
+	// The demand's data write takes over its request.
+	w := cc.newTxn(txn{
+		kind: txnWrite, req: t.req, line: t.line, bank: t.bank, row: t.row, arrive: cc.now(),
 		outcomeKnown: true, outcome: outcome, victim: victim,
-	}
-	cc.ctl.sim.ScheduleArgAt(iss.DataEnd, writeTagDoneEv, w)
+	})
+	t.req = nil
+	cc.ctl.sim.ScheduleArgAt(iss.DataEnd, writeTagDoneEv, w.hold())
 }
 
 // writeTagDoneEv acts on a CL-family write's tag-read result at data
@@ -355,15 +369,16 @@ func writeTagDoneEv(a any, _ sim.Tick) {
 		cc.ctl.writeback(w.victim)
 	}
 	cc.enqueueWriteTxn(w)
+	cc.ctl.releaseTxn(w)
 }
 
 // enqueueWriteTxn adds a data write, overflowing if the queue is full.
 func (cc *chanCtl) enqueueWriteTxn(w *txn) {
 	if len(cc.writeQ) >= WriteQueueDepth {
-		cc.overflow = append(cc.overflow, w)
+		cc.overflow = append(cc.overflow, w.hold())
 		return
 	}
-	cc.writeQ = append(cc.writeQ, w)
+	cc.writeQ = append(cc.writeQ, w.hold())
 	cc.pass()
 }
 
@@ -427,7 +442,7 @@ func (cc *chanCtl) issueVictimRead(t *txn, iss dram.Issue) {
 	cc.meterColRead()
 	cc.st().Traffic.VictimBytes += 64
 	cc.st().Traffic.OverheadBytes += cfg.ReadBytes - 64
-	cc.ctl.sim.ScheduleArgAt(iss.DataEnd, victimReadDoneEv, t)
+	cc.ctl.sim.ScheduleArgAt(iss.DataEnd, victimReadDoneEv, t.hold())
 }
 
 // victimReadDoneEv completes an Ideal-design victim read: the line heads
@@ -438,6 +453,7 @@ func victimReadDoneEv(a any, _ sim.Tick) {
 	cc.ctl.writeback(t.line)
 	t.done = true
 	cc.pass()
+	cc.ctl.releaseTxn(t)
 }
 
 // dispatchFill enqueues the fill write for a line on its home channel.
@@ -497,14 +513,16 @@ func (cc *chanCtl) tryProbe(now sim.Tick) bool {
 			j.Span(mem.PhaseHMBus, hmAt-iss.TagInt)
 		}
 	}
-	cc.ctl.sim.ScheduleArgAt(hmAt, probeResultEv, pick)
+	cc.ctl.sim.ScheduleArgAt(hmAt, probeResultEv, pick.hold())
 	return true
 }
 
 // probeResultEv delivers a probe's HM-bus result.
 func probeResultEv(a any, when sim.Tick) {
 	t := a.(*txn)
-	t.cc.probeResult(t, when)
+	cc := t.cc
+	cc.probeResult(t, when)
+	cc.ctl.releaseTxn(t)
 }
 
 // probeResult acts on a probe's HM-bus result.
@@ -528,6 +546,7 @@ func (cc *chanCtl) probeResult(t *txn, at sim.Tick) {
 		cc.remove(&cc.readQ, t)
 		t.fill = true
 		cc.ctl.missFetch(t)
+		cc.ctl.releaseTxn(t) // the queue's hold; the fetch holds t now
 		cc.pass()
 	case mem.ReadMissDirty:
 		// Start the backing fetch now; the MAIN access still must read
@@ -543,7 +562,7 @@ func (cc *chanCtl) probeResult(t *txn, at sim.Tick) {
 		cc.ctl.mmMeter.Acts++
 		cc.ctl.mmMeter.Cols++
 		cc.ctl.mmMeter.Bytes += 64
-		if !cc.ctl.mm.ReadArg(t.line, probeMissDataEv, t) {
+		if !cc.ctl.mm.ReadArg(t.line, probeMissDataEv, t.hold()) {
 			cc.ctl.parkMMRead(pendingMM{line: t.line, fn: probeMissDataEv, arg: t})
 		}
 		cc.pass()
@@ -562,13 +581,14 @@ func probeMissDataEv(a any, _ sim.Tick) {
 		j.Exit(mem.PhaseMissFetch, now)
 	}
 	c.finishJourney(t.req, now)
-	t.req.Complete()
+	c.respond(t)
 	c.resolveInflight(t.line)
 	t.mmArrived = true
 	if t.victimDone {
 		c.dispatchFill(t.line)
 	}
 	c.retryUpstream()
+	c.releaseTxn(t)
 }
 
 // pushFlush parks a dirty victim in the flush buffer.
@@ -591,7 +611,7 @@ func (cc *chanCtl) popFlush() (line uint64, ok bool) {
 	e := &cc.flush[0]
 	if in := cc.ctl.fault; in != nil && in.FlushEntry() == fault.Detected {
 		if int(e.retries) >= in.RetryBudget() {
-			cc.flush = cc.flush[1:]
+			cc.flush = dropFront(cc.flush, 1)
 			in.NoteExhausted()
 			in.NoteVictimLost()
 			cc.ctl.observeFault("flush.lost")
@@ -603,7 +623,7 @@ func (cc *chanCtl) popFlush() (line uint64, ok bool) {
 		return 0, false
 	}
 	line = e.line
-	cc.flush = cc.flush[1:]
+	cc.flush = dropFront(cc.flush, 1)
 	return line, true
 }
 

@@ -129,6 +129,9 @@ type Controller struct {
 	tags  *tagStore
 	chans []*chanCtl
 
+	// txnFree recycles transaction records (see newTxn/releaseTxn).
+	txnFree *txn
+
 	// inflight tracks lines with a pending fill: value is the list of
 	// demands waiting in the conflicting-request buffer.
 	inflight      map[uint64][]*mem.Request
@@ -527,12 +530,14 @@ func (c *Controller) Enqueue(req *mem.Request) bool {
 		c.maybePrefetch(req.Core, line)
 		return true
 	}
-	if !cc.acceptWrite(req, bank) {
+	w := cc.acceptWrite(req, bank)
+	if w == nil {
 		c.stats.QueueRejects++
 		return false
 	}
 	c.countDemand(req)
-	req.Complete() // posted write
+	req.Complete()  // posted write
+	c.releaseTxn(w) // acceptWrite's hold: the txn may now release req
 	return true
 }
 
@@ -599,6 +604,7 @@ func (c *Controller) enqueueNoCache(req *mem.Request) bool {
 	}
 	c.finishJourney(req, c.sim.Now())
 	req.Complete()
+	req.Release()
 	return true
 }
 
@@ -614,6 +620,7 @@ func (c *Controller) noCacheDone(a any, _ sim.Tick) {
 	}
 	c.finishJourney(req, now)
 	req.Complete()
+	req.Release()
 	c.retryUpstream()
 }
 
@@ -622,7 +629,7 @@ func (c *Controller) noCacheDone(a any, _ sim.Tick) {
 // enqueue the fill (unless bypassed). The transaction rides along as the
 // completion's argument (t.req, t.line, t.fill), so the fetch allocates
 // no closure; intake paths with no queued transaction pass a bare
-// carrier txn.
+// carrier txn. The fetch holds t until missDataEv.
 func (c *Controller) missFetch(t *txn) {
 	if r := t.req; r != nil {
 		if j := r.J; j != nil {
@@ -634,7 +641,7 @@ func (c *Controller) missFetch(t *txn) {
 	c.mmMeter.Acts++
 	c.mmMeter.Cols++
 	c.mmMeter.Bytes += 64
-	if !c.mm.ReadArg(t.line, missDataEv, t) {
+	if !c.mm.ReadArg(t.line, missDataEv, t.hold()) {
 		// Backing read queue full: park the fetch. The queue's free
 		// event (backing.Memory.OnReadFree) rearms the pump — one wakeup
 		// per freed slot instead of a 20 ns polling loop.
@@ -653,7 +660,7 @@ func missDataEv(a any, _ sim.Tick) {
 			j.Exit(mem.PhaseMissFetch, now)
 		}
 		c.finishJourney(t.req, now)
-		t.req.Complete()
+		c.respond(t)
 	}
 	// Data is at the controller: conflict-buffer waiters are served
 	// from it directly.
@@ -662,6 +669,7 @@ func missDataEv(a any, _ sim.Tick) {
 		c.dispatchFill(t.line)
 	}
 	c.retryUpstream()
+	c.releaseTxn(t)
 }
 
 func (c *Controller) parkMMRead(p pendingMM) {
@@ -675,13 +683,15 @@ func (c *Controller) parkMMRead(p pendingMM) {
 // pumpMMReads re-offers parked backing reads in arrival order.
 // Head-of-line blocking is intentional: fetch order is preserved.
 func (c *Controller) pumpMMReads() {
-	for len(c.mmReadWait) > 0 {
-		p := c.mmReadWait[0]
+	n := 0
+	for n < len(c.mmReadWait) {
+		p := c.mmReadWait[n]
 		if !c.mm.ReadArg(p.line, p.fn, p.arg) {
-			return
+			break
 		}
-		c.mmReadWait = c.mmReadWait[1:]
+		n++
 	}
+	c.mmReadWait = dropFront(c.mmReadWait, n)
 }
 
 // markInflight registers a line whose fill is pending.
@@ -713,6 +723,7 @@ func (c *Controller) resolveInflight(line uint64) {
 		} else if c.tags != nil {
 			c.tags.markDirty(line)
 		}
+		w.Release() // reads were just answered, writes posted at intake
 	}
 }
 
@@ -725,17 +736,16 @@ func (c *Controller) writeback(line uint64) {
 // pumpWritebacks offers queued victims to the backing store; leftovers
 // wait for the write queue's free event (backing.Memory.OnWriteFree).
 func (c *Controller) pumpWritebacks() {
-	for len(c.wbQ) > 0 {
-		if !c.mm.Write(c.wbQ[0]) {
-			return
-		}
-		c.wbQ = c.wbQ[1:]
+	n := 0
+	for n < len(c.wbQ) && c.mm.Write(c.wbQ[n]) {
+		n++
 		c.stats.MMWrites++
 		c.stats.Traffic.MMWritebackBytes += 64
 		c.mmMeter.Acts++
 		c.mmMeter.Cols++
 		c.mmMeter.Bytes += 64
 	}
+	c.wbQ = dropFront(c.wbQ, n)
 }
 
 // recordUncorrectable charges one uncorrectable (retry-exhausted) error

@@ -12,9 +12,12 @@ import (
 // design cells of one small tdserve miss, forked from a shared warmup
 // image — allocates on the heap (Go 1.24, amd64). Heap allocation is
 // deterministic for a fixed program and input, so unlike wall time it
-// can gate the miss path exactly. About a quarter each is the cells'
-// SRAM clones, their tag stores and their event kernels' wheels (sim.New).
-const serveMatrixAllocBytes = 3_860_000
+// can gate the miss path exactly. With transactions, demand requests and
+// wheel slots recycled, the simulated accesses themselves allocate
+// almost nothing: about two fifths is the cells' SRAM clones, a third
+// their tag stores and an eighth their event kernels' bucket arrays
+// (sim.New).
+const serveMatrixAllocBytes = 2_560_000
 
 // serveMatrixAllocSlack is the headroom above serveMatrixAllocBytes the
 // gate allows (runtime and toolchain drift).
@@ -23,7 +26,8 @@ const serveMatrixAllocSlack = 0.15
 // TestServeMatrixAllocBudget pins the allocation of one serve-shaped
 // matrix (bt.C, 1 MiB cache, 50 measured and 10 warmup accesses per
 // core, one job). A fork path that builds a throwaway machine per cell,
-// or a tag store that spends a struct per line again, blows the budget.
+// a tag store that spends a struct per line again, or a per-access record
+// that stops being recycled blows the budget.
 func TestServeMatrixAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation")

@@ -6,6 +6,7 @@ package mem
 import (
 	"fmt"
 
+	"tdram/internal/pooldebug"
 	"tdram/internal/sim"
 )
 
@@ -59,16 +60,28 @@ type Request struct {
 	// is disabled — every touch point nil-checks it, hookguard-enforced.
 	J *Journey
 
-	done bool
+	// pool is the RequestPool the request was drawn from (nil for a
+	// request built directly, which is never recycled); next links it
+	// into that pool's freelist while released.
+	pool *RequestPool
+	next *Request
+
+	done  bool
+	freed bool // released to its pool; cleared when the pool reissues it
 }
 
 // Line reports the line address (byte address >> LineShift).
 func (r *Request) Line() uint64 { return r.Addr >> LineShift }
 
-// Complete invokes OnDone exactly once. Further calls panic: a demand
-// being completed twice means a controller model has a double-response
-// bug, which must not be masked.
+// Complete invokes OnDone exactly once. Further calls panic, as does
+// completing a request already released to its pool: a demand being
+// completed twice means a controller model has a double-response bug,
+// which must not be masked — least of all by landing on the record's
+// next tenant.
 func (r *Request) Complete() {
+	if r.freed {
+		panic(fmt.Sprintf("mem: request %d completed after release", r.ID))
+	}
 	if r.done {
 		panic(fmt.Sprintf("mem: request %d completed twice", r.ID))
 	}
@@ -80,6 +93,48 @@ func (r *Request) Complete() {
 
 // Completed reports whether Complete has run.
 func (r *Request) Completed() bool { return r.done }
+
+// Release returns a pooled request to its pool once its last user is
+// done with it (see DESIGN.md, "Record ownership"); it is a no-op for a
+// request not drawn from a pool. Releasing twice panics. Under the
+// pooldebug build tag the released record is poisoned so a stale use
+// misroutes or panics instead of reading plausible old fields.
+func (r *Request) Release() {
+	p := r.pool
+	if p == nil {
+		return
+	}
+	if r.freed {
+		panic(fmt.Sprintf("mem: request %d released twice", r.ID))
+	}
+	r.freed = true
+	r.OnDone, r.J = nil, nil
+	if pooldebug.On {
+		r.Addr, r.Core = ^uint64(0), -1
+	}
+	r.next = p.free
+	p.free = r
+}
+
+// RequestPool recycles requests through an intrusive freelist. The
+// issuer owns a request from Get until the controller accepts it; from
+// then on the controller owns it and releases it after its last use.
+// Once the pool is warm to the in-flight high-water mark, Get allocates
+// nothing.
+type RequestPool struct {
+	free *Request
+}
+
+// Get pops a zeroed request (allocating only when the pool is empty).
+func (p *RequestPool) Get() *Request {
+	r := p.free
+	if r == nil {
+		return &Request{pool: p}
+	}
+	p.free = r.next
+	*r = Request{pool: p}
+	return r
+}
 
 // Outcome classifies a DRAM-cache access, following the paper's Table II.
 type Outcome uint8

@@ -27,6 +27,59 @@ func TestCompleteOnce(t *testing.T) {
 	r.Complete()
 }
 
+// TestCompleteAcrossRecycle pins the double-completion guard through the
+// request pool: completing a released request panics, the next tenant
+// of the same record completes exactly once, and a second completion of
+// that tenant panics too.
+func TestCompleteAcrossRecycle(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	var p RequestPool
+	n := 0
+	r := p.Get()
+	r.ID, r.OnDone = 1, func(*Request) { n++ }
+	r.Complete()
+	r.Release()
+	mustPanic("Complete after Release", r.Complete)
+	mustPanic("second Release", r.Release)
+	if n != 1 {
+		t.Fatalf("OnDone ran %d times, want 1", n)
+	}
+
+	r2 := p.Get()
+	if r2 != r {
+		t.Fatal("pool did not recycle the released request")
+	}
+	if r2.Completed() || r2.OnDone != nil || r2.ID != 0 {
+		t.Fatalf("recycled request not reset: completed=%v id=%d", r2.Completed(), r2.ID)
+	}
+	r2.ID, r2.OnDone = 2, func(*Request) { n++ }
+	r2.Complete()
+	if n != 2 {
+		t.Fatalf("next tenant's OnDone ran %d times in total, want 2", n)
+	}
+	mustPanic("second Complete of the next tenant", r2.Complete)
+}
+
+// TestReleaseUnpooledNoop: a request built directly is not recycled, so
+// Release leaves it intact.
+func TestReleaseUnpooledNoop(t *testing.T) {
+	r := &Request{ID: 3, Addr: 64}
+	r.Complete()
+	r.Release()
+	r.Release()
+	if r.Addr != 64 || !r.Completed() {
+		t.Fatalf("unpooled release changed the request: %+v", r)
+	}
+}
+
 func TestCompleteNilCallback(t *testing.T) {
 	r := &Request{}
 	r.Complete() // must not panic

@@ -214,3 +214,39 @@ func TestOverflowDaemonBounded(t *testing.T) {
 		t.Fatalf("overflow tier grew to %d events; the drain must bound it at 1", peak)
 	}
 }
+
+// TestSlabTracksPendingPeak pins the slab wheel's footprint: its slot
+// count is the peak number of simultaneously pending events, however
+// many distinct buckets (level 0 and level 1) the run touches, and a
+// drained queue's slots are reused rather than appended.
+func TestSlabTracksPendingPeak(t *testing.T) {
+	s := New()
+	slots := func() int { return len(s.w.slab) - 1 } // minus the sentinel
+	// A self-rescheduling chain walks thousands of level-0 ticks and
+	// level-1 blocks with one event pending at a time.
+	hops := 0
+	var hop func()
+	hop = func() {
+		if hops++; hops < 5000 {
+			s.Schedule(Tick(1+hops%7)*997, hop)
+		}
+	}
+	s.Schedule(0, hop)
+	s.Run(0)
+	if got := slots(); got != 1 {
+		t.Fatalf("one-pending chain grew the slab to %d slots, want 1", got)
+	}
+	// A burst of 40 pending events needs 40 slots; a second, smaller
+	// burst after the drain reuses them.
+	for i := 0; i < 40; i++ {
+		s.Schedule(Tick(i)*3001, func() {})
+	}
+	s.Run(0)
+	for i := 0; i < 10; i++ {
+		s.Schedule(Tick(i), func() {})
+	}
+	s.Run(0)
+	if got := slots(); got != 40 {
+		t.Fatalf("slab holds %d slots after bursts of 40 and 10, want 40", got)
+	}
+}

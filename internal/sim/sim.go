@@ -94,10 +94,10 @@ func ParseTick(s string) (Tick, error) {
 	return 0, fmt.Errorf("sim: duration %q needs a ps/ns/us/ms suffix", s)
 }
 
-// event is a scheduled callback, stored inline in the wheel's bucket
-// slabs. Every event is a (fn, arg) pair: the typed-argument Schedule
-// variants store the caller's prebound function and argument directly
-// (zero allocations for pointer args), while the classic closure-based
+// event is a scheduled callback, stored in the wheel's event slab. Every
+// event is a (fn, arg) pair: the typed-argument Schedule variants store
+// the caller's prebound function and argument directly (zero
+// allocations for pointer args), while the classic closure-based
 // variants store the closure as arg behind a static dispatcher.
 // Insertion order within a tick IS the deterministic tie-break order, so
 // no per-event sequence number is stored.
@@ -106,7 +106,8 @@ type event struct {
 	//tdlint:shared fn, arg — callbacks are code plus reachable model state; the kernel cannot deep-copy them (see snapshot.go's disciplines)
 	fn     func(any, Tick)
 	arg    any
-	daemon bool // does not keep the simulation alive on its own
+	next   int32 // slab index of the next event in its bucket's ring or the freelist
+	daemon bool  // does not keep the simulation alive on its own
 }
 
 // runClosure dispatches a classic func() callback stored in arg. Func
@@ -211,17 +212,16 @@ func (s *Simulator) Step() bool {
 	if !ok {
 		return false
 	}
-	b := s.w.l0[i]
-	e := b[s.w.head]
-	s.w.head++
-	if s.w.head == len(b) {
-		// Bucket drained: clear references for the GC, keep the slab's
-		// capacity for reuse, and drop its occupancy bit.
-		clear(b)
-		s.w.l0[i] = b[:0]
-		s.w.head = 0
-		s.w.l0bits[i>>6] &^= 1 << uint(i&63)
+	w := &s.w
+	k := w.pop(&w.l0[i])
+	e := w.slab[k]
+	if w.l0[i] == 0 {
+		// Bucket drained: drop its occupancy bit.
+		w.l0bits[i>>6] &^= 1 << uint(i&63)
 	}
+	// The slot is free before the callback runs, so events it schedules
+	// can reuse it.
+	w.release(k)
 	s.w.count--
 	if !e.daemon {
 		s.nonDaemon--

@@ -8,9 +8,9 @@ package sim
 // machinery is the seed for tdserve resume.
 //
 // What a snapshot owns outright: the clock (now), the fired/non-daemon
-// accounting, and every queued event record — level-0 and level-1 bucket
-// contents, occupancy bitmaps, the consume head, the window base, and
-// the sorted overflow tier. There is no per-event sequence counter to
+// accounting, and every queued event record — the event slab with its
+// level-0 and level-1 bucket lists and freelist, the occupancy bitmaps,
+// the window base, and the sorted overflow tier. There is no per-event sequence counter to
 // capture: insertion order within a tick IS the deterministic tie-break,
 // and the copy preserves bucket order verbatim, so a restored kernel
 // fires the exact event interleaving the original would have.
@@ -74,28 +74,26 @@ func (s *Simulator) Restore(sn *Snapshot) {
 	copyWheel(&s.w, &sn.w)
 }
 
-// copyWheel deep-copies src's queue into dst, reusing dst's bucket
-// slabs where capacity allows and clearing stale event references so
-// dropped callbacks don't linger for the GC.
+// copyWheel deep-copies src's queue into dst, reusing dst's slab and
+// overflow storage where capacity allows and clearing stale event
+// references so dropped callbacks don't linger for the GC. Bucket lists
+// are slab indices, so copying the slab verbatim preserves them.
 //
 //tdlint:copier wheel
 func copyWheel(dst, src *wheel) {
+	dst.l0 = src.l0
 	dst.l0bits = src.l0bits
 	dst.l0hint = src.l0hint
+	dst.l1 = src.l1
 	dst.l1bits = src.l1bits
+	dst.free = src.free
 	dst.l0base = src.l0base
-	dst.head = src.head
 	dst.count = src.count
-	for i := range src.l0 {
-		dst.l0[i] = copyEvents(dst.l0[i], src.l0[i])
-	}
-	for i := range src.l1 {
-		dst.l1[i] = copyEvents(dst.l1[i], src.l1[i])
-	}
+	dst.slab = copyEvents(dst.slab, src.slab)
 	dst.overflow = copyEvents(dst.overflow, src.overflow)
 }
 
-// copyEvents replaces dst's contents with src's, keeping dst's slab.
+// copyEvents replaces dst's contents with src's, keeping dst's storage.
 //
 //tdlint:copier event
 func copyEvents(dst, src []event) []event {

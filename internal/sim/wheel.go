@@ -1,13 +1,27 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"tdram/internal/pooldebug"
+)
 
 // This file implements the kernel's event queue as a two-level timing
 // wheel with a sorted overflow tier, replacing the original
 // container/heap priority queue. The heap cost O(log n) comparisons plus
 // an interface{} boxing allocation per Push/Pop; the wheel schedules and
-// fires in O(1) amortized with events stored inline in reusable bucket
-// slabs, so the steady-state schedule/fire path allocates nothing.
+// fires in O(1) amortized with events stored in one reusable slab, so
+// the steady-state schedule/fire path allocates nothing.
+//
+// Storage: every wheel event lives in a single per-simulator slab. A
+// bucket is one int32: the slab index of its newest event, whose next
+// index wraps around to the oldest — a circular FIFO that appends at
+// the tail and pops at the head in O(1) with a single word per bucket.
+// Fired events return their slot to a freelist threaded through the
+// same next indices. Index 0 is a sentinel meaning "empty" / "end", so
+// the zero wheel is empty and ready to use. The slab's size is the
+// simulation's peak number of pending events, not every bucket it ever
+// touched.
 //
 // Geometry:
 //
@@ -19,7 +33,8 @@ import "math/bits"
 //	          [l0base+l0Size, l0base+l1Span) — about 4.2 µs, enough for
 //	          every DRAM timing parameter including tREFI. A bucket
 //	          cascades wholesale into level 0 when the window reaches it;
-//	          the cascade scan is stable, so per-tick FIFO order (and
+//	          the cascade walks the bucket's list in order and relinks
+//	          each event onto its tick's tail, so per-tick FIFO order (and
 //	          with it the deterministic (when, seq) firing order the
 //	          models rely on) survives the move.
 //	overflow: events at or beyond l0base+l1Span (watchdog windows,
@@ -52,22 +67,87 @@ const (
 // l1Span is the total horizon the two wheel levels cover past l0base.
 const l1Span = Tick(l1Size) << l0Bits
 
-// wheel is the event store. Bucket slabs keep their capacity across
-// reuse (len is reset, elements cleared for the GC), so after warmup the
-// schedule path stops allocating.
+// bucket is one wheel slot's FIFO event list: the slab index of its
+// newest event (0 when empty); that event's next is the oldest.
+type bucket int32
+
+// wheel is the event store. Bucket lists and the freelist thread
+// through one event slab whose capacity is kept across reuse (freed
+// slots are cleared for the GC), so after warmup the schedule path stops
+// allocating.
 type wheel struct {
-	l0     [l0Size][]event
+	l0     [l0Size]bucket
 	l0bits [l0Words]uint64
 	l0hint int // lowest level-0 bitmap word that can be non-zero
 
-	l1     [l1Size][]event
+	l1     [l1Size]bucket
 	l1bits [l1Words]uint64
+
+	// slab holds every wheel event; slab[0] is the unused sentinel that
+	// index 0 ("empty", "end of list") names.
+	slab []event
+	free int32 // head of the freed-slot list (0 = none)
 
 	overflow []event
 
 	l0base Tick // start of the level-0 window, l0Size-aligned
-	head   int  // consume offset into the front-most occupied l0 bucket
 	count  int  // total queued events
+}
+
+// alloc stores e in a free slab slot (growing the slab only when the
+// freelist is empty) and returns its index.
+func (w *wheel) alloc(e event) int32 {
+	i := w.free
+	if i != 0 {
+		w.free = w.slab[i].next
+		w.slab[i] = e
+		return i
+	}
+	if len(w.slab) == 0 {
+		w.slab = append(w.slab, event{}) // the sentinel
+	}
+	w.slab = append(w.slab, e)
+	return int32(len(w.slab) - 1)
+}
+
+// release returns slot i to the freelist, dropping its callback
+// references for the GC. Under pooldebug the slot is poisoned instead,
+// so a stale index that fires it panics.
+func (w *wheel) release(i int32) {
+	e := &w.slab[i]
+	if pooldebug.On {
+		*e = event{when: -1, fn: firedFreedSlot}
+	} else {
+		e.fn, e.arg = nil, nil
+	}
+	e.next = w.free
+	w.free = i
+}
+
+// firedFreedSlot is the poisoned callback of a released slot.
+func firedFreedSlot(any, Tick) { panic("sim: fired a released event slot") }
+
+// push appends slot i at bucket b's tail.
+func (w *wheel) push(b *bucket, i int32) {
+	if t := int32(*b); t == 0 {
+		w.slab[i].next = i
+	} else {
+		w.slab[i].next = w.slab[t].next
+		w.slab[t].next = i
+	}
+	*b = bucket(i)
+}
+
+// pop unlinks and returns bucket b's oldest slot; b must be non-empty.
+func (w *wheel) pop(b *bucket) int32 {
+	t := int32(*b)
+	first := w.slab[t].next
+	if first == t {
+		*b = 0
+	} else {
+		w.slab[t].next = w.slab[first].next
+	}
+	return first
 }
 
 // place routes one event into the wheel level (or overflow tier) its
@@ -84,14 +164,14 @@ func (s *Simulator) placeWheel(e event) {
 	switch {
 	case e.when < w.l0base+l0Size:
 		i := int(e.when - w.l0base)
-		w.l0[i] = append(w.l0[i], e)
+		w.push(&w.l0[i], w.alloc(e))
 		w.l0bits[i>>6] |= 1 << uint(i&63)
 		if i>>6 < w.l0hint {
 			w.l0hint = i >> 6
 		}
 	case e.when < w.l0base+l1Span:
 		i := int(e.when>>l0Bits) & l1Mask
-		w.l1[i] = append(w.l1[i], e)
+		w.push(&w.l1[i], w.alloc(e))
 		w.l1bits[i>>6] |= 1 << uint(i&63)
 	default:
 		// Sorted upper-bound insert: same-when events stay in scheduling
@@ -166,22 +246,21 @@ func (s *Simulator) advance() {
 }
 
 // cascade redistributes level-1 bucket i into level 0, advancing l0base
-// to that bucket's block. The scan is stable: same-tick events keep
-// their scheduling order in the target bucket.
+// to that bucket's block. The walk is in list order and each event is
+// relinked onto its tick's tail, so same-tick events keep their
+// scheduling order; no event is copied.
 func (s *Simulator) cascade(i int) {
 	w := &s.w
 	cur := int(w.l0base>>l0Bits) & l1Mask
 	d := (i - cur) & l1Mask
 	w.l0base = ((w.l0base >> l0Bits) + Tick(d)) << l0Bits
 	w.l0hint = 0
-	b := w.l1[i]
-	for _, e := range b {
-		j := int(e.when & l0Mask)
-		w.l0[j] = append(w.l0[j], e)
+	for w.l1[i] != 0 {
+		k := w.pop(&w.l1[i])
+		j := int(w.slab[k].when & l0Mask)
+		w.push(&w.l0[j], k)
 		w.l0bits[j>>6] |= 1 << uint(j&63)
 	}
-	clear(b)
-	w.l1[i] = b[:0]
 	w.l1bits[i>>6] &^= 1 << uint(i&63)
 	s.drainOverflow()
 }
@@ -233,11 +312,12 @@ func (s *Simulator) peekNext() (Tick, bool) {
 		return s.w.l0base + Tick(i), true
 	}
 	if i, ok := s.scanL1(); ok {
-		b := s.w.l1[i]
-		min := b[0].when
-		for _, e := range b[1:] {
-			if e.when < min {
-				min = e.when
+		w := &s.w
+		last := int32(w.l1[i])
+		min := w.slab[last].when
+		for k := w.slab[last].next; k != last; k = w.slab[k].next {
+			if when := w.slab[k].when; when < min {
+				min = when
 			}
 		}
 		return min, true

@@ -19,10 +19,11 @@ import (
 // tail percentiles (p99, p99.9) stay resolved no matter how slow the
 // slowest request was.
 //
-// The counts slice grows lazily to the highest bucket touched, additions
-// are O(1) with no floating-point involved, and two histograms merge
-// bucket-by-bucket, so per-(design, class) histograms can be built
-// per-run and combined afterwards without losing resolution.
+// The counts slice grows lazily (with amortised reallocation) to the
+// highest bucket touched, additions are O(1) with no floating-point
+// involved, and two histograms merge bucket-by-bucket, so per-(design,
+// class) histograms can be built per-run and combined afterwards without
+// losing resolution.
 type LogHist struct {
 	counts   []uint64
 	n        uint64
@@ -61,9 +62,7 @@ func logBucketBounds(i int) (lo, hi uint64) {
 func (h *LogHist) Add(v uint64) {
 	i := logBucket(v)
 	if i >= len(h.counts) {
-		grown := make([]uint64, i+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		h.counts = extend(h.counts, i+1)
 	}
 	h.counts[i]++
 	if h.n == 0 || v < h.min {
@@ -74,6 +73,22 @@ func (h *LogHist) Add(v uint64) {
 	}
 	h.n++
 	h.sum += v
+}
+
+// extend lengthens counts to n buckets, the new ones zero. The backing
+// array at least doubles when it must grow, so a run whose samples climb
+// one bucket at a time reallocates O(log n) times instead of on every
+// new bucket; the length stays exactly the highest bucket touched plus
+// one, which merges, percentiles and rendered results depend on.
+func extend(counts []uint64, n int) []uint64 {
+	if n <= cap(counts) {
+		grown := counts[:n]
+		clear(grown[len(counts):])
+		return grown
+	}
+	grown := make([]uint64, n, max(n, 2*cap(counts)))
+	copy(grown, counts)
+	return grown
 }
 
 // AddTick records a tick-valued sample; negative durations clamp to zero
@@ -156,9 +171,7 @@ func (h *LogHist) Merge(o *LogHist) {
 		return
 	}
 	if len(o.counts) > len(h.counts) {
-		grown := make([]uint64, len(o.counts))
-		copy(grown, h.counts)
-		h.counts = grown
+		h.counts = extend(h.counts, len(o.counts))
 	}
 	for i, c := range o.counts {
 		h.counts[i] += c

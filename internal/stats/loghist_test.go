@@ -332,3 +332,38 @@ func TestHistOverflowPercentiles(t *testing.T) {
 		prev = p
 	}
 }
+
+// TestLogHistGrowthAmortised pins the counts slice's growth: samples
+// climbing one bucket at a time reallocate O(log n) times rather than on
+// every new bucket, while len(counts) stays exactly the highest bucket
+// touched plus one — through Add and through Merge — which rendered and
+// merged results depend on.
+func TestLogHistGrowthAmortised(t *testing.T) {
+	var steps int
+	allocs := testing.AllocsPerRun(1, func() {
+		steps = 0
+		h := NewLogHist()
+		for v := uint64(0); v < 1<<20; v = v*17/16 + 1 {
+			h.Add(v)
+			steps++
+			if want := logBucket(v) + 1; len(h.counts) != want {
+				t.Fatalf("after Add(%d): len(counts) = %d, want %d", v, len(h.counts), want)
+			}
+		}
+	})
+	if allocs > 24 {
+		t.Errorf("%d climbing samples cost %.0f allocations, want amortised growth (<= 24)", steps, allocs)
+	}
+	h, o := NewLogHist(), NewLogHist()
+	h.Add(5)
+	o.Add(1 << 30)
+	h.Merge(o)
+	if want := logBucket(1<<30) + 1; len(h.counts) != want {
+		t.Errorf("after Merge: len(counts) = %d, want %d", len(h.counts), want)
+	}
+	for i, c := range h.counts {
+		if (c != 0) != (i == logBucket(5) || i == logBucket(1<<30)) {
+			t.Errorf("bucket %d = %d after Merge", i, c)
+		}
+	}
+}

@@ -63,7 +63,8 @@ func (c *core) emitWriteback(line uint64) {
 		return
 	}
 	c.reqID++
-	req := &mem.Request{ID: c.reqID, Addr: line * mem.LineSize, Kind: mem.Write, Core: c.id}
+	req := c.sys.reqs.Get()
+	req.ID, req.Addr, req.Kind, req.Core = c.reqID, line*mem.LineSize, mem.Write, c.id
 	if o := c.sys.obs; o != nil {
 		req.J = o.StartJourney(c.id, line, true)
 	}
@@ -94,12 +95,9 @@ func coreTickEv(a any, _ sim.Tick) {
 // next.
 func (c *core) tick() {
 	// Drain rejected work first, in order.
-	for len(c.pendingWBs) > 0 {
-		if !c.sys.ctl.Enqueue(c.pendingWBs[0]) {
-			c.waitRetry = true
-			return
-		}
-		c.pendingWBs = c.pendingWBs[1:]
+	if !c.drainWritebacks() {
+		c.waitRetry = true
+		return
 	}
 	if c.pendingRead != nil {
 		if !c.sys.ctl.Enqueue(c.pendingRead) {
@@ -128,10 +126,9 @@ func (c *core) tick() {
 	if res.Missed {
 		c.misses++
 		c.reqID++
-		req := &mem.Request{
-			ID: c.reqID, Addr: res.MissLine * mem.LineSize, Kind: mem.Read, Core: c.id,
-			OnDone: c.onMiss,
-		}
+		req := c.sys.reqs.Get()
+		req.ID, req.Addr, req.Kind, req.Core = c.reqID, res.MissLine*mem.LineSize, mem.Read, c.id
+		req.OnDone = c.onMiss
 		if o := c.sys.obs; o != nil {
 			req.J = o.StartJourney(c.id, res.MissLine, false)
 		}
@@ -144,6 +141,20 @@ func (c *core) tick() {
 		}
 	}
 	c.scheduleTick(delay)
+}
+
+// drainWritebacks re-offers rejected writebacks in order and reports
+// whether all were accepted. Accepted entries are compacted out in place
+// (re-slicing forward would leak the slice's capacity).
+func (c *core) drainWritebacks() bool {
+	n := 0
+	for n < len(c.pendingWBs) && c.sys.ctl.Enqueue(c.pendingWBs[n]) {
+		n++
+	}
+	rest := copy(c.pendingWBs, c.pendingWBs[n:])
+	clear(c.pendingWBs[rest:])
+	c.pendingWBs = c.pendingWBs[:rest]
+	return rest == 0
 }
 
 // completeMiss handles a returning DRAM-cache read.

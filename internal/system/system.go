@@ -15,6 +15,7 @@ import (
 	"tdram/internal/dram"
 	"tdram/internal/dramcache"
 	"tdram/internal/energy"
+	"tdram/internal/mem"
 	"tdram/internal/obs"
 	"tdram/internal/sim"
 	"tdram/internal/workload"
@@ -145,6 +146,11 @@ type System struct {
 	obs   *obs.Observer
 	wd    *sim.Watchdog
 	cores []*core
+
+	// reqs recycles the cores' demand records: a core owns a request
+	// until the controller accepts it, the controller releases it after
+	// its last use (DESIGN.md, "Record ownership").
+	reqs mem.RequestPool
 
 	// prewarmed marks a system seeded from a WarmupImage: Run skips the
 	// prewarm pass because the installed state already reflects it.
