@@ -26,26 +26,31 @@ type Config struct {
 // Cache is one level. It is purely functional: Access returns what
 // happened and what was evicted; the caller composes latencies.
 //
-// Per-way state lives in three parallel arrays of sets × ways entries,
-// so the hit scan and the victim scan each walk one compact array (an
-// 8-way set's tags or stamps fit in one host cache line) and Clone
-// copies 17 B per line:
+// Per-way state lives in two parallel arrays of sets × ways entries, so
+// the hit scan walks one compact array (an 8-way set's tags fit in one
+// host cache line):
 //
 //   - tags[i] is the way's tag+1 when it is valid and 0 when it is not;
-//   - lru[i] is the way's LRU stamp (larger = more recently used). An
-//     invalid way has stamp 0 and every valid way a stamp of at least 1,
-//     so a miss's victim is the way with the lowest stamp, ties broken
-//     toward the lowest way: the first invalid way if there is one, else
-//     the least recently used;
 //   - dirty[i] is the way's dirty bit (meaningful only while valid).
+//
+// Replacement is exact LRU under one rule: give every way a stamp (0
+// while invalid, else the tick of its last use, larger = more recent)
+// and the victim is the lowest stamp, ties broken toward the lowest way
+// — the first invalid way if there is one, else the least recently
+// used. The stamps themselves are not stored. Each set keeps its ways
+// sorted by that rule instead (setOrder), so a miss takes rank 0 and a
+// hit moves one way to the top, both in O(1). Clone copies 9 B per line
+// plus 16 B per set (11 B per line at 8 ways).
 type Cache struct {
-	cfg     Config
-	sets    int
-	lruTick uint64
+	cfg  Config
+	sets int
+	tick uint64 // advanced once per Access
 
 	tags  []uint64
-	lru   []uint64
 	dirty []bool
+	order []setOrder // one per set
+
+	mru uint // bit offset of the top rank's nibble: 4·(ways−1)
 
 	// Power-of-two set decode (the common configuration): index by mask
 	// and shift instead of modulo and divide, which dominate the access
@@ -57,10 +62,59 @@ type Cache struct {
 	Hits, Misses, Evictions, DirtyEvictions uint64
 }
 
-// New builds a cache level. Size must be a multiple of Ways*LineSize.
+// setOrder is one set's recency order: its ways sorted by (stamp, way
+// index), least recent first. Stamps only ever tie in two groups. The
+// invalid ways all share stamp 0 and sit at the bottom. MarkDirty stamps
+// without advancing the tick, so ways stamped at the current tick share
+// the top. A tie left behind once the tick moves on can only shrink, so
+// tracking the top group suffices to keep every tie in way-index order.
+//
+//   - ranks packs the permutation 4 bits per rank: nibble r holds the
+//     way at rank r, rank 0 is the victim, nibbles above the set's ways
+//     are 0;
+//   - top is topTick<<topBits | topSize: the tick the top group was
+//     stamped at and how many ways (the top topSize ranks) carry it.
+type setOrder struct {
+	ranks uint64
+	top   uint64
+}
+
+const (
+	// maxWays is the widest set a packed recency order holds.
+	maxWays = 16
+
+	topBits = 5 // topSize ≤ maxWays; ticks stay far below 2^59
+	topMask = 1<<topBits - 1
+
+	nibbleLSB = 0x1111111111111111
+	nibbleMSB = nibbleLSB << 3
+)
+
+// rankOf returns the rank of way w. x has a zero nibble exactly where w
+// sits; the borrow trick flags zero nibbles, exactly up to and including
+// the lowest one, and w occurs once among the set's ranks (any unused
+// nibbles lie above them), so the lowest flag is w's rank.
+func rankOf(ranks, w uint64) uint {
+	x := ranks ^ w*nibbleLSB
+	return uint(bits.TrailingZeros64((x-nibbleLSB)&^x&nibbleMSB)) / 4
+}
+
+// removeRank deletes rank r, sliding the ranks above it down one; the
+// top nibble becomes 0.
+func removeRank(ranks uint64, r uint) uint64 {
+	return ranks&(uint64(1)<<(4*r)-1) | ranks>>(4*r+4)<<(4*r)
+}
+
+// insertRank puts way w at rank r, sliding rank r and above up one.
+func insertRank(ranks, w uint64, r uint) uint64 {
+	return ranks&(uint64(1)<<(4*r)-1) | w<<(4*r) | ranks>>(4*r)<<(4*r+4)
+}
+
+// New builds a cache level. Size must be a multiple of Ways*LineSize and
+// Ways at most maxWays.
 func New(cfg Config) (*Cache, error) {
-	if cfg.Ways <= 0 {
-		return nil, fmt.Errorf("cache %s: ways = %d", cfg.Name, cfg.Ways)
+	if cfg.Ways <= 0 || cfg.Ways > maxWays {
+		return nil, fmt.Errorf("cache %s: ways = %d, want 1..%d", cfg.Name, cfg.Ways, maxWays)
 	}
 	lines := cfg.Size / mem.LineSize
 	if lines == 0 || lines%uint64(cfg.Ways) != 0 {
@@ -68,8 +122,16 @@ func New(cfg Config) (*Cache, error) {
 			cfg.Name, cfg.Size, cfg.Ways, mem.LineSize)
 	}
 	sets := int(lines) / cfg.Ways
-	c := &Cache{cfg: cfg, sets: sets,
-		tags: make([]uint64, lines), lru: make([]uint64, lines), dirty: make([]bool, lines)}
+	c := &Cache{cfg: cfg, sets: sets, mru: 4 * uint(cfg.Ways-1),
+		tags: make([]uint64, lines), dirty: make([]bool, lines), order: make([]setOrder, sets)}
+	// All ways start invalid, tied at stamp 0: way-index order.
+	var identity uint64
+	for w := cfg.Ways - 1; w >= 0; w-- {
+		identity = identity<<4 | uint64(w)
+	}
+	for i := range c.order {
+		c.order[i].ranks = identity
+	}
 	if sets&(sets-1) == 0 {
 		c.pow2 = true
 		c.mask = uint64(sets - 1)
@@ -121,16 +183,18 @@ func (c *Cache) Lookup(lineAddr uint64) bool {
 func (c *Cache) Access(lineAddr uint64, dirty bool) Result {
 	set, tag := c.set(lineAddr)
 	base := set * c.cfg.Ways
-	end := base + c.cfg.Ways
-	tags := c.tags[base:end]
+	tags := c.tags[base : base+c.cfg.Ways]
 	key := tag + 1
-	c.lruTick++
+	c.tick++
+	o := &c.order[set]
 	// Hit scan first over the compact tag words — the overwhelmingly
-	// common case pays for nothing else; victim selection only runs once
-	// the miss is established.
+	// common case pays for nothing else. A hit takes a fresh stamp, so
+	// the way moves to the top alone.
 	for w, tv := range tags {
 		if tv == key {
-			c.lru[base+w] = c.lruTick
+			r := rankOf(o.ranks, uint64(w))
+			o.ranks = removeRank(o.ranks, r) | uint64(w)<<c.mru
+			o.top = c.tick<<topBits | 1
 			if dirty {
 				c.dirty[base+w] = true
 			}
@@ -138,14 +202,10 @@ func (c *Cache) Access(lineAddr uint64, dirty bool) Result {
 			return Result{Hit: true}
 		}
 	}
-	// Victim: the lowest stamp, ties to the lowest way (see Cache).
-	lru := c.lru[base:end]
-	vw := 0
-	for w := 1; w < len(lru); w++ {
-		if lru[w] < lru[vw] {
-			vw = w
-		}
-	}
+	// Victim: rank 0 (see Cache); the refilled way rotates to the top.
+	vw := int(o.ranks & 0xF)
+	o.ranks = o.ranks>>4 | uint64(vw)<<c.mru
+	o.top = c.tick<<topBits | 1
 	c.Misses++
 	res := Result{}
 	if tv := tags[vw]; tv != 0 {
@@ -158,20 +218,36 @@ func (c *Cache) Access(lineAddr uint64, dirty bool) Result {
 		}
 	}
 	tags[vw] = key
-	lru[vw] = c.lruTick
 	c.dirty[base+vw] = dirty
 	return res
 }
 
 // Invalidate drops a line if present, returning whether it was dirty.
+// The way's stamp returns to 0: it joins the bottom group of invalid
+// ways at its way-index position.
 func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
 	set, tag := c.set(lineAddr)
 	base := set * c.cfg.Ways
 	key := tag + 1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if i := base + w; c.tags[i] == key {
+	for w, tv := range c.tags[base : base+c.cfg.Ways] {
+		if tv == key {
+			i := base + w
 			present, dirty = true, c.dirty[i]
-			c.tags[i], c.lru[i], c.dirty[i] = 0, 0, false
+			c.tags[i], c.dirty[i] = 0, false
+			o := &c.order[set]
+			n := uint(c.cfg.Ways)
+			r := rankOf(o.ranks, uint64(w))
+			if r >= n-uint(o.top&topMask) {
+				o.top-- // it leaves the tied top group
+			}
+			ranks := removeRank(o.ranks, r)
+			pos := uint(0)
+			for ; pos < n-1; pos++ {
+				if v := ranks >> (4 * pos) & 0xF; c.tags[base+int(v)] != 0 || v > uint64(w) {
+					break
+				}
+			}
+			o.ranks = insertRank(ranks, uint64(w), pos)
 			return
 		}
 	}
@@ -186,22 +262,45 @@ func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
 // can share its stamp with the line the last Access touched; on a later
 // miss in that set the lower of the two ways is the victim. That tie is
 // model behaviour the kernel goldens freeze: changing it changes results.
+// In the recency order the way joins the set's top group in way-index
+// order when that group carries the current tick, and goes to the top
+// alone otherwise.
 func (c *Cache) MarkDirty(lineAddr uint64) bool {
 	set, tag := c.set(lineAddr)
 	base := set * c.cfg.Ways
 	key := tag + 1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if i := base + w; c.tags[i] == key {
-			c.dirty[i] = true
-			c.lru[i] = c.lruTick
+	for w, tv := range c.tags[base : base+c.cfg.Ways] {
+		if tv == key {
+			c.dirty[base+w] = true
+			o := &c.order[set]
+			r := rankOf(o.ranks, uint64(w))
+			if o.top>>topBits != c.tick {
+				o.ranks = removeRank(o.ranks, r) | uint64(w)<<c.mru
+				o.top = c.tick<<topBits | 1
+				return true
+			}
+			n := uint(c.cfg.Ways)
+			first := n - uint(o.top&topMask) // lowest rank of the tied group
+			if r >= first {
+				return true // already stamped at this tick
+			}
+			// With w removed the group starts one rank lower; w goes
+			// in after the members with a lower way index.
+			ranks := removeRank(o.ranks, r)
+			pos := first - 1
+			for pos < n-1 && ranks>>(4*pos)&0xF < uint64(w) {
+				pos++
+			}
+			o.ranks = insertRank(ranks, uint64(w), pos)
+			o.top++
 			return true
 		}
 	}
 	return false
 }
 
-// Clone returns a deep copy of the cache: content, LRU state, and hit
-// counters all duplicated, so the copy and the original evolve
+// Clone returns a deep copy of the cache: content, recency order, and
+// hit counters all duplicated, so the copy and the original evolve
 // independently. The warmup-image fork uses this to hand every design
 // cell its own prewarmed SRAM stack.
 //
@@ -209,8 +308,8 @@ func (c *Cache) MarkDirty(lineAddr uint64) bool {
 func (c *Cache) Clone() *Cache {
 	d := *c
 	d.tags = append([]uint64(nil), c.tags...)
-	d.lru = append([]uint64(nil), c.lru...)
 	d.dirty = append([]bool(nil), c.dirty...)
+	d.order = append([]setOrder(nil), c.order...)
 	return &d
 }
 

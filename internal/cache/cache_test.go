@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"tdram/internal/sim"
+	"tdram/internal/workload"
 )
 
 func small(t *testing.T, ways int) *Cache {
@@ -25,6 +26,12 @@ func TestNewErrors(t *testing.T) {
 	}
 	if _, err := New(Config{Size: 0, Ways: 1}); err == nil {
 		t.Error("zero size accepted")
+	}
+	if _, err := New(Config{Size: 17 * 64, Ways: 17}); err == nil {
+		t.Error("17 ways accepted: the packed recency order holds at most 16")
+	}
+	if _, err := New(Config{Size: 16 * 64, Ways: maxWays}); err != nil {
+		t.Errorf("%d ways rejected: %v", maxWays, err)
 	}
 }
 
@@ -268,10 +275,48 @@ func TestHierarchyStoreDirtyPropagation(t *testing.T) {
 	}
 }
 
+// BenchmarkHierarchyAccess runs recorded workload streams through the
+// default system-sized stack (4 KiB L1, 64 KiB L2), so the hit/miss
+// branches see the simulator's real, unlearnable mix rather than a
+// fixed stride:
+//
+//   - prewarm: pr.25 over a 16 MiB DRAM cache (15 % stores), the
+//     random, miss-heavy stream of a cold cell's functional prewarm;
+//   - serve-hits: bt.C over a 1 MiB DRAM cache, as in tdserve's small
+//     miss cells. Its 921-line per-core region fits the 1024-line L2,
+//     so after one warming pass (outside the timer) nearly every access
+//     misses L1 and hits L2.
 func BenchmarkHierarchyAccess(b *testing.B) {
-	h := NewHierarchy()
-	h.WriteBack = func(uint64) {}
-	for i := 0; i < b.N; i++ {
-		h.Access(uint64(i*13)%100000, i%4 == 0)
+	for _, m := range []struct {
+		name, workload string
+		cacheBytes     uint64
+		warm           bool
+	}{
+		{"prewarm", "pr.25", 16 << 20, false},
+		{"serve-hits", "bt.C", 1 << 20, true},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			spec, err := workload.ByName(m.workload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := spec.NewStream(0, 8, m.cacheBytes, 1)
+			lines, stores := make([]uint64, 1<<16), make([]bool, 1<<16)
+			for i := range lines {
+				lines[i], stores[i], _ = st.Next()
+			}
+			h := NewSizedHierarchy(4<<10, 64<<10)
+			h.WriteBack = func(uint64) {}
+			if m.warm {
+				for i, l := range lines {
+					h.Access(l, stores[i])
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i & (len(lines) - 1)
+				h.Access(lines[j], stores[j])
+			}
+		})
 	}
 }

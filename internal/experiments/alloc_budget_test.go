@@ -14,10 +14,10 @@ import (
 // deterministic for a fixed program and input, so unlike wall time it
 // can gate the miss path exactly. With transactions, demand requests and
 // wheel slots recycled, the simulated accesses themselves allocate
-// almost nothing: about two fifths is the cells' SRAM clones, a third
-// their tag stores and an eighth their event kernels' bucket arrays
-// (sim.New).
-const serveMatrixAllocBytes = 2_560_000
+// almost nothing: about three tenths is the cells' SRAM clones (11 B per
+// line with per-set recency orders), over a third their tag stores and
+// a seventh their event kernels' bucket arrays (sim.New).
+const serveMatrixAllocBytes = 2_146_000
 
 // serveMatrixAllocSlack is the headroom above serveMatrixAllocBytes the
 // gate allows (runtime and toolchain drift).

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"tdram/internal/mem"
@@ -84,8 +85,27 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// float returns a uniform value in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+// below reports whether a uniform draw in [0, 1) falls under the
+// probability f whose threshold(f) it is given. It consumes one draw,
+// exactly as the float test float64(r.next()>>11)/2^53 < f does, and
+// gives the same answer.
+func (r *rng) below(thresh uint64) bool { return r.next()>>11 < thresh }
+
+// threshold converts a probability f to the integer bound below tests
+// against: ceil(f·2^53), clamped to [0, 2^53]. For a 53-bit draw u, the
+// quotient u/2^53 is exact (u fits the significand and dividing by a
+// power of two only moves the exponent), and so is f·2^53. Hence
+// u/2^53 < f ⇔ u < f·2^53 ⇔ u < ceil(f·2^53), u being an integer.
+// f ≤ 0 (and NaN) never passes, f ≥ 1 always does.
+func threshold(f float64) uint64 {
+	switch {
+	case !(f > 0):
+		return 0
+	case f >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(f * (1 << 53)))
+}
 
 // intn returns a uniform value in [0, n) via Lemire's multiply-shift
 // rejection method. The previous r.next() % n carried the classic
@@ -127,6 +147,9 @@ type Stream struct {
 	inBurst   bool
 
 	cacheLines uint64 // ring spacing for the conflict pattern
+
+	// Integer draw thresholds (see threshold) for the Spec's fractions.
+	conflictThresh, scanThresh, hotThresh, writeThresh uint64
 }
 
 // NewStream builds the stream for one core. cacheBytes is the DRAM-cache
@@ -152,6 +175,11 @@ func (s Spec) NewStream(core, cores int, cacheBytes uint64, seed uint64) *Stream
 		lines:      per,
 		hotLines:   hot,
 		cacheLines: cacheBytes / mem.LineSize,
+
+		conflictThresh: threshold(s.ConflictFrac),
+		scanThresh:     threshold(s.ScanFrac),
+		hotThresh:      threshold(s.HotFrac),
+		writeThresh:    threshold(s.WriteFrac),
 	}
 	st.scanPos = st.rng.intn(per)
 	return st
@@ -196,34 +224,41 @@ func (st *Stream) Next() (line uint64, store bool, thinkNS float64) {
 	} else {
 		thinkNS = st.spec.ThinkNS * 3.0
 	}
-	if st.spec.ConflictFrac > 0 && r.float() < st.spec.ConflictFrac {
+	if st.conflictThresh > 0 && r.below(st.conflictThresh) {
 		// Same-set ring: ring s, way k -> line s + k*cacheLines. These
 		// addresses collide in set s of the DRAM cache regardless of its
 		// associativity.
 		s := r.intn(uint64(st.spec.ConflictSets))
 		k := r.intn(uint64(st.spec.ConflictDepth))
 		line = s + k*st.cacheLines
-		store = r.float() < st.spec.WriteFrac
+		store = r.below(st.writeThresh)
 		return line, store, thinkNS
 	}
 	switch {
 	case st.scanBurst > 0:
 		st.scanBurst--
-		st.scanPos = (st.scanPos + 1) % st.lines
-		line = st.base + st.scanPos
-	case r.float() < st.spec.ScanFrac:
+		line = st.base + st.advanceScan()
+	case r.below(st.scanThresh):
 		// Start (or continue) a sequential run of 32 lines so scans have
 		// the spatial behaviour of the real stencil/FFT codes.
 		st.scanBurst = 31
-		st.scanPos = (st.scanPos + 1) % st.lines
-		line = st.base + st.scanPos
-	case r.float() < st.spec.HotFrac:
+		line = st.base + st.advanceScan()
+	case r.below(st.hotThresh):
 		line = st.base + r.intn(st.hotLines)
 	default:
 		line = st.base + r.intn(st.lines)
 	}
-	store = r.float() < st.spec.WriteFrac
+	store = r.below(st.writeThresh)
 	return line, store, thinkNS
+}
+
+// advanceScan steps the scan position, wrapping at the region's end.
+func (st *Stream) advanceScan() uint64 {
+	st.scanPos++
+	if st.scanPos == st.lines {
+		st.scanPos = 0
+	}
+	return st.scanPos
 }
 
 // specs is the full 28-workload roster: NPB classes C and D, GAPBS
